@@ -19,7 +19,9 @@
 //!   join/aggregate plans run through `minidb::Executor` on the columnar
 //!   and row engines *interleaved* (A/B/A/B, cancelling thermal drift),
 //!   reporting executions/sec, rows/sec and the per-query and geomean
-//!   columnar-over-row speedup.
+//!   columnar-over-row speedup. A `point_select` row times the N+1 inner
+//!   query `select * from t1 where t1_fk = :k` over many keys, reporting
+//!   median and p95 µs per query on each engine.
 //!
 //! * **serving** — Cobra-as-a-service end to end
 //!   (`cobra_server::CobraService`): cold submissions against fresh
@@ -72,6 +74,8 @@ struct Config {
     /// Row scale applied to the [`GenConfig::large`] execution fixture
     /// (1.0 = the full 1M+ rows; smoke shrinks it).
     exec_scale: f64,
+    /// Distinct keys bound, one query each, in the point-select row.
+    point_keys: usize,
     /// Fresh tenants (= full searches) in the serving cold phase.
     serving_cold: usize,
     /// Warm submissions per session per concurrency level.
@@ -122,6 +126,7 @@ fn parse_args() -> Config {
         exec_scale: flag("--exec-scale")
             .and_then(|s| s.parse().ok())
             .unwrap_or(d_exec_scale),
+        point_keys: if smoke { 16 } else { 64 },
         serving_cold: flag("--serving-cold")
             .and_then(|s| s.parse().ok())
             .unwrap_or(d_serving_cold),
@@ -309,6 +314,22 @@ struct ExecQueryRow {
     speedup: f64,
 }
 
+/// Per-query latency of the point select on one engine, in µs.
+struct PointTiming {
+    median_us: f64,
+    p95_us: f64,
+}
+
+/// The N+1 inner query over many keys, columnar vs row (ungated).
+struct PointSelectRow {
+    sql: &'static str,
+    keys: usize,
+    table_rows: u64,
+    out_rows: u64,
+    columnar: PointTiming,
+    row: PointTiming,
+}
+
 /// The whole execution-throughput section.
 struct ExecSection {
     corpus_rows: u64,
@@ -316,11 +337,74 @@ struct ExecSection {
     scale: f64,
     geomean_speedup: f64,
     queries: Vec<ExecQueryRow>,
+    point_select: PointSelectRow,
+}
+
+/// Time `select * from t1 where t1_fk = :k` once per key on each engine,
+/// interleaved, after one warm-up query per engine (which also builds the
+/// columnar postings, as the first inner query of a loop would).
+fn bench_point_select(
+    db: &minidb::Database,
+    funcs: &minidb::FuncRegistry,
+    keys: usize,
+) -> PointSelectRow {
+    const SQL: &str = "select * from t1 where t1_fk = :k";
+    let plan = minidb::sql::parse(SQL).expect("point select parses");
+    let table_rows = db.table("t1").unwrap().row_count() as u64;
+    // t1_fk references t0_id, so keys spread over t0's id range.
+    let parents = db.table("t0").unwrap().row_count();
+    let run = |engine: ExecEngine, key: usize| {
+        let params = HashMap::from([("k".to_string(), minidb::Value::Int(key as i64))]);
+        Executor::new(db, funcs)
+            .with_engine(engine)
+            .execute(&plan, &params)
+            .expect("point select executes")
+    };
+    run(ExecEngine::Columnar, 0);
+    run(ExecEngine::Row, 0);
+    let mut col_us = Vec::with_capacity(keys);
+    let mut row_us = Vec::with_capacity(keys);
+    let mut out_rows = 0;
+    for i in 0..keys {
+        let key = i * parents / keys.max(1);
+        let t = Instant::now();
+        let c = run(ExecEngine::Columnar, key);
+        col_us.push(t.elapsed().as_secs_f64() * 1e6);
+        let t = Instant::now();
+        let r = run(ExecEngine::Row, key);
+        row_us.push(t.elapsed().as_secs_f64() * 1e6);
+        assert_eq!(c.rows, r.rows, "engines must agree on point select k={key}");
+        assert_eq!(c.work, r.work, "work accounting must agree on k={key}");
+        out_rows += c.row_count();
+    }
+    let timing = |mut us: Vec<f64>| {
+        us.sort_by(f64::total_cmp);
+        let pct = |p: f64| us[((p * us.len() as f64).ceil() as usize).clamp(1, us.len()) - 1];
+        PointTiming {
+            median_us: pct(0.5),
+            p95_us: pct(0.95),
+        }
+    };
+    let out = PointSelectRow {
+        sql: SQL,
+        keys,
+        table_rows,
+        out_rows,
+        columnar: timing(col_us),
+        row: timing(row_us),
+    };
+    println!(
+        "exec/point_select ({keys} keys over {table_rows} rows): columnar median {:.1} µs \
+         p95 {:.1} µs, row median {:.1} µs p95 {:.1} µs",
+        out.columnar.median_us, out.columnar.p95_us, out.row.median_us, out.row.p95_us
+    );
+    out
 }
 
 /// Run the scan/filter/join/aggregate plans on both engines, interleaved,
-/// over a [`GenConfig::large`] fixture scaled by `scale`.
-fn bench_execution(iters: usize, scale: f64) -> ExecSection {
+/// over a [`GenConfig::large`] fixture scaled by `scale`, then the
+/// point-select row over `point_keys` keys.
+fn bench_execution(iters: usize, scale: f64, point_keys: usize) -> ExecSection {
     // A fixed-seed large schema: ≥2 tables, t1 FK-linked to t0, 1M+ rows
     // per table at scale 1.0 (GenSchema guarantees the shape).
     let mut rng = StdRng::seed_from_u64(2024);
@@ -436,6 +520,7 @@ fn bench_execution(iters: usize, scale: f64) -> ExecSection {
         .collect();
     let geomean_speedup = (gated.iter().sum::<f64>() / gated.len() as f64).exp();
     println!("geomean columnar speedup (scan/filter/join): {geomean_speedup:.2}x");
+    let point_select = bench_point_select(&db, &fixture.funcs, point_keys);
 
     ExecSection {
         corpus_rows,
@@ -443,6 +528,7 @@ fn bench_execution(iters: usize, scale: f64) -> ExecSection {
         scale,
         geomean_speedup,
         queries: rows_out,
+        point_select,
     }
 }
 
@@ -927,7 +1013,7 @@ fn main() {
     // Real wall-clock execution on a GenConfig::large() fixture (1M+
     // rows per table at scale 1.0). Engines run interleaved — columnar,
     // row, columnar, row — so thermal/frequency drift hits both equally.
-    let exec_section = bench_execution(cfg.exec_iters, cfg.exec_scale);
+    let exec_section = bench_execution(cfg.exec_iters, cfg.exec_scale, cfg.point_keys);
 
     // ---- serving: cold vs warm submissions through CobraService ------
     let serving = bench_serving(cfg.serving_cold, cfg.serving_submits);
@@ -1042,7 +1128,42 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",\n"),
     );
-    out.push_str("\n]},\n");
+    let ps = &exec_section.point_select;
+    let point_json = |t: &PointTiming| {
+        format!(
+            "{{\"median_us\":{:.2},\"p95_us\":{:.2}}}",
+            t.median_us, t.p95_us
+        )
+    };
+    // A baseline run's columnar timing (the first `median_us`/`p95_us`
+    // after its `point_select` key) is embedded as the before figure.
+    let point_baseline = baseline_doc.as_deref().and_then(|d| {
+        let rest = &d[d.find("\"point_select\":")?..];
+        Some(PointTiming {
+            median_us: json_number(rest, "median_us")?,
+            p95_us: json_number(rest, "p95_us")?,
+        })
+    });
+    if let Some(b) = &point_baseline {
+        println!(
+            "point_select columnar vs baseline: median {:.1} -> {:.1} µs, p95 {:.1} -> {:.1} µs",
+            b.median_us, ps.columnar.median_us, b.p95_us, ps.columnar.p95_us
+        );
+    }
+    out.push_str(&format!(
+        "\n],\"point_select\":{{\"sql\":{},\"keys\":{},\"table_rows\":{},\"out_rows\":{},\
+         \"gated\":false,\"columnar\":{},\"row\":{}{}}}}},\n",
+        json_str(ps.sql),
+        ps.keys,
+        ps.table_rows,
+        ps.out_rows,
+        point_json(&ps.columnar),
+        point_json(&ps.row),
+        point_baseline
+            .as_ref()
+            .map(|b| format!(",\"baseline_columnar\":{}", point_json(b)))
+            .unwrap_or_default()
+    ));
     out.push_str(&format!(
         "\"serving\":{{\"cold\":{{\"tenants\":{},\"per_submission_ns\":{:.1},\
          \"searches_per_sec\":{:.2}}},\"warm_over_cold_speedup\":{:.2},\"warm\":[\n",

@@ -26,8 +26,9 @@ pub struct Table {
     /// mutably.
     version: u64,
     /// Lazily built columnar projection of `rows` — the vectorized
-    /// engine's zero-copy scan source. Invalidated by row writes
-    /// (insert/update), *not* by index creation or re-analysis.
+    /// engine's zero-copy scan source, with the equality postings its
+    /// point probes build. Invalidated by row writes (insert/update),
+    /// *not* by index creation or re-analysis.
     columns: Mutex<Option<Arc<ColumnTable>>>,
 }
 

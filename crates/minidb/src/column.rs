@@ -11,11 +11,13 @@
 //! The vectorized executor ([`crate::vexec`]) scans these columns
 //! zero-copy (each column is `Arc`-shared out of the table's cache) and
 //! `ANALYZE` ([`crate::stats::TableStats::analyze_columns`]) computes
-//! statistics from them in one typed pass per column.
+//! statistics from them in one typed pass per column. Point selects
+//! (`col = :k`) over an Int column read the column's equality postings
+//! ([`ColumnTable::int_eq_rows`]) instead of scanning it.
 
 use crate::schema::{DataType, Schema};
 use crate::value::{Row, Value};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A packed null bitmap: bit set ⇒ the row is NULL.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -340,23 +342,86 @@ impl ColumnVec {
     }
 }
 
+/// Equality postings of one Int column: for each distinct non-NULL key,
+/// the ids of the rows holding it, ascending. Flat layout: `keys` sorted,
+/// the rows of `keys[k]` are `ids[offsets[k]..offsets[k + 1]]`. NULL rows
+/// appear under no key.
+#[derive(Debug, Clone)]
+struct Postings {
+    keys: Vec<i64>,
+    offsets: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl Postings {
+    /// Build from an Int column's values and null mask.
+    fn build(data: &[i64], nulls: Option<&NullMask>) -> Postings {
+        let mut pairs: Vec<(i64, u32)> = (0..data.len())
+            .filter(|&i| !nulls.is_some_and(|m| m.is_null(i)))
+            .map(|i| (data[i], i as u32))
+            .collect();
+        // Pairs are distinct, so the unstable sort leaves ids ascending
+        // within each key.
+        pairs.sort_unstable();
+        let mut keys = Vec::new();
+        let mut offsets = Vec::new();
+        let mut ids = Vec::with_capacity(pairs.len());
+        for (k, id) in pairs {
+            if keys.last() != Some(&k) {
+                keys.push(k);
+                offsets.push(ids.len() as u32);
+            }
+            ids.push(id);
+        }
+        offsets.push(ids.len() as u32);
+        keys.shrink_to_fit();
+        offsets.shrink_to_fit();
+        Postings { keys, offsets, ids }
+    }
+
+    /// The ids of the rows equal to `key`, ascending (empty when none).
+    fn rows(&self, key: i64) -> &[u32] {
+        match self.keys.binary_search(&key) {
+            Ok(k) => &self.ids[self.offsets[k] as usize..self.offsets[k + 1] as usize],
+            Err(_) => &[],
+        }
+    }
+
+    /// Heap bytes held: 4 per non-NULL row, 12 per distinct key, plus 4.
+    fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * 8 + self.offsets.capacity() * 4 + self.ids.capacity() * 4
+    }
+}
+
 /// The columnar projection of one table: one `Arc`-shared [`ColumnVec`]
 /// per schema column. Scans clone the `Arc`s, never the data.
+///
+/// The projection is an immutable snapshot: the table replaces it on every
+/// row write. Each Int column also carries equality postings (sorted
+/// distinct keys, an offset per key, row ids), built once by the first
+/// point probe of that column ([`ColumnTable::int_eq_rows`]) and freed
+/// with the snapshot, so they never go stale and are never maintained
+/// under writes. They cost at most 16 bytes per row (4 per row id, 12 per
+/// distinct key): 16 on a unique column, about 4 on a foreign key with
+/// few distinct values.
 #[derive(Debug, Clone)]
 pub struct ColumnTable {
     /// One column per schema position.
     pub cols: Vec<Arc<ColumnVec>>,
     /// Row count.
     pub len: usize,
+    /// Per-column postings, built on first probe (Int columns only).
+    postings: Vec<OnceLock<Postings>>,
 }
 
 impl ColumnTable {
     /// Build the columnar projection of `rows` under `schema`.
     pub fn from_rows(schema: &Schema, rows: &[Row]) -> ColumnTable {
-        let cols = (0..schema.len())
+        let cols: Vec<_> = (0..schema.len())
             .map(|c| Arc::new(ColumnVec::from_rows(rows, c, schema.column(c).dtype)))
             .collect();
         ColumnTable {
+            postings: cols.iter().map(|_| OnceLock::new()).collect(),
             cols,
             len: rows.len(),
         }
@@ -365,6 +430,27 @@ impl ColumnTable {
     /// Re-materialize row `i` (exactly the values that were stored).
     pub fn row(&self, i: usize) -> Row {
         self.cols.iter().map(|c| c.get(i)).collect()
+    }
+
+    /// The ids of the rows whose column `col` equals `key`, ascending,
+    /// from the column's postings (built on the first call). A `None` key
+    /// is SQL NULL and matches no row. `None` when `col` is not a typed
+    /// [`ColumnVec::Int`].
+    pub fn int_eq_rows(&self, col: usize, key: Option<i64>) -> Option<&[u32]> {
+        let ColumnVec::Int { data, nulls } = &*self.cols[col] else {
+            return None;
+        };
+        let postings = self.postings[col].get_or_init(|| Postings::build(data, nulls.as_ref()));
+        Some(key.map_or(&[], |k| postings.rows(k)))
+    }
+
+    /// Heap bytes held by the postings built so far.
+    pub fn postings_bytes(&self) -> usize {
+        self.postings
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(Postings::heap_bytes)
+            .sum()
     }
 }
 
@@ -464,6 +550,32 @@ mod tests {
         assert_eq!(c.null_count(), 2);
         let c = ColumnVec::from_values(Vec::new());
         assert!(c.is_empty());
+    }
+
+    #[test]
+    fn postings_list_ascending_ids_per_key_and_skip_nulls() {
+        let s = Schema::new(vec![
+            Column::new("k", DataType::Int),
+            Column::with_width("s", DataType::Str, 8),
+        ]);
+        let keys = [Some(5), Some(0), None, Some(5), Some(-2), Some(5), None];
+        let data: Vec<Row> = keys
+            .iter()
+            .map(|k| vec![k.map_or(Value::Null, Value::Int), Value::str("x")])
+            .collect();
+        let ct = ColumnTable::from_rows(&s, &data);
+        assert_eq!(ct.postings_bytes(), 0, "built lazily");
+        assert_eq!(ct.int_eq_rows(0, Some(5)), Some(&[0, 3, 5][..]));
+        assert_eq!(ct.int_eq_rows(0, Some(-2)), Some(&[4][..]));
+        // NULL rows hold 0 in `data` but sit under no key.
+        assert_eq!(ct.int_eq_rows(0, Some(0)), Some(&[1][..]));
+        assert_eq!(ct.int_eq_rows(0, Some(7)), Some(&[][..]));
+        assert_eq!(ct.int_eq_rows(0, None), Some(&[][..]));
+        // 5 ids + 3 distinct keys.
+        assert_eq!(ct.postings_bytes(), 5 * 4 + 3 * 12 + 4);
+        assert_eq!(ct.int_eq_rows(1, Some(5)), None, "not an Int column");
+        let empty = ColumnTable::from_rows(&s, &[]);
+        assert_eq!(empty.int_eq_rows(0, Some(5)), Some(&[][..]));
     }
 
     #[test]

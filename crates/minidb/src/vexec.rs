@@ -25,6 +25,18 @@
 //!    narrows the selection before the next evaluates.
 //! 3. Order-sensitive accumulations (AVG's float sum, group first-seen
 //!    order, stable sorts) run in selection order, matching row order.
+//! 4. A point select (`Select` over a bare `Scan` whose predicate is the
+//!    single conjunct `col = :param` or `col = literal`, either side)
+//!    takes its selection from the column's equality postings
+//!    ([`ColumnTable::int_eq_rows`]) only when the column is a typed
+//!    `Int` column and the key is a bound `Int` or `NULL`. Then the row
+//!    engine's filter cannot error (an Int compared with an Int or NULL
+//!    never does), NULL rows never match, and postings list ids in
+//!    ascending row order, so rows and errors agree. The probe charges
+//!    the scan plus filter it replaces (`2 × rows`), so simulated time
+//!    and plan choice are unchanged. Every other shape (float, string or
+//!    bool keys, unbound parameters, `Mixed` columns, more conjuncts)
+//!    takes the generic path.
 
 use crate::column::{ColumnTable, ColumnVec, NullMask};
 use crate::error::{DbError, DbResult};
@@ -278,6 +290,26 @@ fn run_select(
                 return Ok((chunk, work));
             }
         }
+        // Postings probe (property 4): a lone `col = key` over an Int column.
+        if let Some((col, key)) = point_key(&conjuncts, params) {
+            if let Ok(idx) = schema.resolve(&col.to_ref_string()) {
+                let ct = t.columnar();
+                if let Some(sel) = ct.int_eq_rows(idx, key) {
+                    // The work of the scan plus filter it replaces.
+                    let work = ExecWork {
+                        startup_rows: 0,
+                        total_rows: 2 * ct.len as u64,
+                    };
+                    let chunk = Chunk {
+                        schema,
+                        cols: ct.cols.clone(),
+                        len: ct.len,
+                        sel: Some(sel.to_vec()),
+                    };
+                    return Ok((chunk, work));
+                }
+            }
+        }
     }
     // Generic filter: whole predicate tree, batched over the selection.
     let (mut chunk, mut work) = run_plan(exec, input, params)?;
@@ -285,6 +317,33 @@ fn run_select(
     filter_chunk(&mut chunk, pred, params, exec.funcs)?;
     work.total_rows += n;
     Ok((chunk, work))
+}
+
+/// The operands of a postings probe: `conjuncts` must be exactly one
+/// `col = key` (either side) whose key is a literal or a bound parameter
+/// holding an Int (`Some`) or NULL (`None`, which matches nothing). Any
+/// other shape returns `None` and takes the generic path, which carries
+/// the row engine's cross-type comparisons and errors.
+fn point_key<'p>(
+    conjuncts: &[&'p ScalarExpr],
+    params: &HashMap<String, Value>,
+) -> Option<(&'p ColRef, Option<i64>)> {
+    let [ScalarExpr::Bin(BinOp::Eq, l, r)] = conjuncts else {
+        return None;
+    };
+    let ((ScalarExpr::Col(col), key) | (key, ScalarExpr::Col(col))) = (&**l, &**r) else {
+        return None;
+    };
+    let key = match key {
+        ScalarExpr::Lit(v) => v,
+        ScalarExpr::Param(name) => params.get(name)?,
+        _ => return None,
+    };
+    match key {
+        Value::Int(k) => Some((col, Some(*k))),
+        Value::Null => Some((col, None)),
+        _ => None,
+    }
 }
 
 /// Narrow `chunk`'s selection to rows where `pred` is true, evaluating
@@ -1482,5 +1541,207 @@ mod tests {
         db.analyze_all();
         let r = assert_engines_agree(&db, &format!("select * from big where v = {base}"));
         assert_eq!(r.row_count(), 1, "no f64 rounding in Int = Int");
+    }
+
+    /// Table `p` for the postings probe: `id` is the primary key (indexed),
+    /// `fk` a duplicated Int key, `n` an Int column with NULLs, `m` an
+    /// Int-declared column that holds a Float and a Str (so `Mixed`), `s`
+    /// a string. Empty when `rows` is 0; otherwise `rows + 1` rows.
+    fn probe_db(rows: i64) -> Database {
+        let mut db = Database::new();
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("fk", DataType::Int),
+            Column::new("n", DataType::Int),
+            Column::new("m", DataType::Int),
+            Column::with_width("s", DataType::Str, 4),
+        ]);
+        let t = db.create_table("p", schema).unwrap();
+        t.set_primary_key("id").unwrap();
+        for i in 0..rows {
+            t.insert(vec![
+                Value::Int(i),
+                Value::Int(i % 4),
+                if i % 3 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int(i % 2)
+                },
+                match i {
+                    1 => Value::Float(1.0),
+                    2 => Value::str("a"),
+                    _ => Value::Int(i % 2),
+                },
+                Value::str(format!("s{i}")),
+            ])
+            .unwrap();
+        }
+        // One key held by a single row, and one no row holds.
+        if rows > 0 {
+            t.insert(vec![
+                Value::Int(rows),
+                Value::Int(7),
+                Value::Int(0),
+                Value::Int(0),
+                Value::str("x"),
+            ])
+            .unwrap();
+        }
+        db.analyze_all();
+        db
+    }
+
+    /// Run `sql` on both engines; assert equal rows, work and error
+    /// variant. Returns the columnar result.
+    fn assert_engines_agree_with(
+        db: &Database,
+        sql: &str,
+        params: &HashMap<String, Value>,
+    ) -> DbResult<crate::exec::QueryResult> {
+        let funcs = FuncRegistry::with_builtins();
+        let plan = parse(sql).unwrap();
+        let col = Executor::new(db, &funcs)
+            .with_engine(ExecEngine::Columnar)
+            .execute(&plan, params);
+        let row = Executor::new(db, &funcs)
+            .with_engine(ExecEngine::Row)
+            .execute(&plan, params);
+        match (&col, &row) {
+            (Ok(c), Ok(r)) => {
+                assert_eq!(c.schema, r.schema, "schema for {sql}");
+                assert_eq!(c.rows, r.rows, "rows for {sql}");
+                assert_eq!(c.work, r.work, "work for {sql}");
+            }
+            (Err(c), Err(r)) => assert_eq!(
+                std::mem::discriminant(c),
+                std::mem::discriminant(r),
+                "error for {sql}: columnar={c} row={r}"
+            ),
+            _ => panic!("engines disagree on {sql}: columnar={col:?} row={row:?}"),
+        }
+        col
+    }
+
+    #[test]
+    fn point_probe_matches_row_engine_and_falls_back_exactly() {
+        use Value::{Bool, Float, Int, Null, Str};
+        const FK: &str = "select * from p where fk = :k";
+        // (sql, :k binding, probed?, expected outcome). `Some(n)` expects
+        // n rows, `None` an error. `probed` checks the path: the probe
+        // builds the column's postings, the generic path never does.
+        let cases: &[(&str, Option<Value>, bool, Option<usize>)] = &[
+            (FK, Some(Int(9)), true, Some(0)),
+            (FK, Some(Int(7)), true, Some(1)),
+            (FK, Some(Int(2)), true, Some(10)),
+            (FK, Some(Null), true, Some(0)),
+            ("select * from p where fk = 2", None, true, Some(10)),
+            ("select * from p where 2 = fk", None, true, Some(10)),
+            ("select * from p where fk = null", None, true, Some(0)),
+            (
+                "select * from p q where q.fk = :k",
+                Some(Int(3)),
+                true,
+                Some(10),
+            ),
+            (
+                "select sum(id) as s from p where fk = :k",
+                Some(Int(1)),
+                true,
+                Some(1),
+            ),
+            // NULL rows hold 0 in the typed data but must not match.
+            ("select * from p where n = :k", Some(Int(0)), true, Some(14)),
+            (FK, Some(Float(1.0)), false, Some(10)),
+            (FK, Some(Float(1.5)), false, Some(0)),
+            (FK, Some(Str("1".into())), false, Some(0)),
+            (FK, Some(Bool(true)), false, Some(0)),
+            ("select * from p where fk = :unbound", None, false, None),
+            (
+                "select * from p where m = :k",
+                Some(Int(1)),
+                false,
+                Some(20),
+            ),
+            ("select * from p where m = :k", Some(Null), false, Some(0)),
+            (
+                "select * from p where fk = :k and n = 1",
+                Some(Int(1)),
+                false,
+                Some(7),
+            ),
+            (
+                "select * from p where fk = :k and s + 1 > 0",
+                Some(Int(9)),
+                false,
+                None,
+            ),
+            ("select * from p where fk = fk", None, false, Some(41)),
+            // The primary-key index path runs first.
+            (
+                "select * from p where id = :k",
+                Some(Int(5)),
+                false,
+                Some(1),
+            ),
+        ];
+        let check = |db: &Database, sql: &str, key: &Option<Value>, probed, expect| {
+            let params: HashMap<String, Value> =
+                key.iter().map(|v| ("k".to_string(), v.clone())).collect();
+            let got = assert_engines_agree_with(db, sql, &params);
+            let ctx = format!("{sql} with k={key:?}");
+            match (expect, &got) {
+                (Some(n), Ok(r)) => assert_eq!(r.row_count(), n as u64, "{ctx}"),
+                (None, Err(_)) => {}
+                _ => panic!("{ctx}: expected {expect:?}, got {got:?}"),
+            }
+            let bytes = db.table("p").unwrap().columnar().postings_bytes();
+            assert_eq!(bytes > 0, probed, "{ctx}: probed");
+        };
+        for (sql, key, probed, expect) in cases {
+            check(&probe_db(40), sql, key, *probed, *expect);
+        }
+        // An unbound parameter on an empty table: no row evaluates it.
+        check(
+            &probe_db(0),
+            "select * from p where fk = :unbound",
+            &None,
+            false,
+            Some(0),
+        );
+        // Duplicated keys come out in ascending row order.
+        let db = probe_db(40);
+        let params = HashMap::from([("k".to_string(), Int(2))]);
+        let r = assert_engines_agree_with(&db, "select id from p where fk = :k", &params).unwrap();
+        let ids: Vec<i64> = r.rows.iter().map(|row| row[0].as_i64().unwrap()).collect();
+        assert_eq!(ids, (0..10).map(|i| 4 * i + 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn point_probe_sees_writes_to_the_table() {
+        let mut db = probe_db(40);
+        let sql = "select * from p where fk = :k";
+        let params = HashMap::from([("k".to_string(), Value::Int(7))]);
+        let r = assert_engines_agree_with(&db, sql, &params).unwrap();
+        assert_eq!(r.row_count(), 1);
+        assert!(db.table("p").unwrap().columnar().postings_bytes() > 0);
+        let t = db.table_mut("p").unwrap();
+        t.insert(vec![
+            Value::Int(100),
+            Value::Int(7),
+            Value::Null,
+            Value::Int(0),
+            Value::str("y"),
+        ])
+        .unwrap();
+        let r = assert_engines_agree_with(&db, sql, &params).unwrap();
+        assert_eq!(r.row_count(), 2, "probe after insert");
+        // Move rows 0 and 4 (fk 0) onto key 7.
+        let t = db.table_mut("p").unwrap();
+        assert_eq!(t.update_where_eq(1, &Value::Int(0), 1, Value::Int(7)), 10);
+        let r = assert_engines_agree_with(&db, sql, &params).unwrap();
+        assert_eq!(r.row_count(), 12, "probe after update_where_eq");
+        let params = HashMap::from([("k".to_string(), Value::Int(0))]);
+        let r = assert_engines_agree_with(&db, sql, &params).unwrap();
+        assert_eq!(r.row_count(), 0, "old key emptied by the update");
     }
 }
